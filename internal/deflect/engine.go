@@ -1,11 +1,11 @@
 package deflect
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -30,12 +30,11 @@ import (
 // random choice draws from the seeded generator. Not safe for
 // concurrent use.
 type Engine struct {
-	cfg    Config
-	g      *graph.Graph
-	rng    *rand.Rand
-	sites  []word.Word // vertex → word
-	cache  *LayerCache
-	router *core.Router // undirected Theorem-2 evals for PolicyMinIncrease
+	cfg   Config
+	g     *graph.Graph
+	rng   *rand.Rand
+	sites []word.Word // vertex → word
+	cache *LayerCache
 
 	resident [][]*msg
 	inflight int
@@ -124,7 +123,6 @@ func New(cfg Config) (*Engine, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		sites:    sites,
 		cache:    NewLayerCache(g),
-		router:   core.NewRouter(cfg.K),
 		resident: make([][]*msg, n),
 		m:        newDeflectMetrics(cfg.Obs),
 	}, nil
@@ -214,11 +212,11 @@ func (e *Engine) Step() error {
 		if len(rs) == 0 {
 			continue
 		}
-		sort.Slice(rs, func(i, j int) bool {
-			if rs[i].born != rs[j].born {
-				return rs[i].born < rs[j].born
+		slices.SortFunc(rs, func(a, b *msg) int {
+			if c := cmp.Compare(a.born, b.born); c != 0 {
+				return c
 			}
-			return rs[i].id < rs[j].id
+			return cmp.Compare(a.id, b.id)
 		})
 		free := append(e.free[:0], e.g.OutNeighbors(v)...)
 		for _, m := range rs {
@@ -305,16 +303,6 @@ func (e *Engine) deliver(m *msg) {
 	if lat > e.maxLatency {
 		e.maxLatency = lat
 	}
-}
-
-// distanceTo evaluates the closed-form distance from vertex v to dst:
-// Property 1 (directed) or Theorem 2 via the reusable router
-// (undirected). PolicyMinIncrease ranks deflection candidates with it.
-func (e *Engine) distanceTo(v int, dst word.Word) (int, error) {
-	if e.cfg.Unidirectional {
-		return core.DirectedDistance(e.sites[v], dst)
-	}
-	return e.router.Distance(e.sites[v], dst)
 }
 
 // Stats summarizes the run so far.

@@ -14,8 +14,9 @@
 // losing a contention. Fàbrega, Martí-Farré & Muñoz (PAPERS.md,
 // arXiv:2203.09918) formalize this as the distance-layer structure
 // B_0..B_k of the de Bruijn digraph; Layers materializes that
-// decomposition from the closed-form distance function and the tests
-// validate it against BFS on the explicit graph.
+// decomposition with one reverse BFS from the destination, and the
+// tests hold it to the paper's closed forms on every graph up to 4096
+// vertices.
 //
 // The engine (engine.go) is synchronous and slotted: per round, each
 // directed channel carries at most one message, contention is resolved
@@ -29,7 +30,6 @@ package deflect
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/word"
 )
@@ -48,23 +48,24 @@ type Link struct {
 // Layers is the distance-layer decomposition of DG(d,k) relative to
 // one destination Y: the partition of the vertex set into layers
 // B_i = {X : D(X,Y) = i}, i = 0..k, with every output link of every
-// site classified as advancing or deflecting. Distances come from the
-// paper's closed-form functions (Property 1 for the directed graph,
-// Theorem 2 for the undirected one), not from graph search; the tests
-// assert the two agree on every graph up to 4096 vertices.
+// site classified as advancing or deflecting. Distances come from one
+// reverse BFS toward Y on the explicit graph; the tests assert they
+// equal the paper's closed forms (Property 1 for the directed graph,
+// Theorem 2 for the undirected one) on every graph up to 4096
+// vertices.
 type Layers struct {
-	dst    word.Word
-	dstV   int
-	dist   []int32   // dist[v] = D(v, dst)
-	layers [][]int32 // layers[i] = sorted vertices of B_i
-	links  [][]Link  // links[v] = classified out-links of v
+	dst     word.Word
+	dstV    int
+	dist    []int32   // dist[v] = D(v, dst)
+	layers  [][]int32 // layers[i] = sorted vertices of B_i
+	links   []Link    // classified out-links, vertex by vertex
+	linkOff []int32   // links of v are links[linkOff[v]:linkOff[v+1]]
 }
 
 // NewLayers computes the decomposition of g — a de Bruijn graph built
-// by graph.DeBruijn with matching d and k — toward dst. Directed
-// graphs use Property 1, undirected ones Theorem 2 (evaluated with a
-// reusable core.Router, the low-constant-factor form of the §4
-// remark). Cost: O(N·k) directed, O(N·k²) undirected.
+// by graph.DeBruijn with matching d and k — toward dst with one reverse
+// BFS, O(N·d). The layers share one slab of vertices and the
+// classified links another.
 func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
 	n, err := word.Count(dst.Base(), dst.Len())
 	if err != nil {
@@ -74,46 +75,42 @@ func NewLayers(g *graph.Graph, dst word.Word) (*Layers, error) {
 		return nil, fmt.Errorf("deflect: graph has %d vertices, DG(%d,%d) needs %d",
 			g.NumVertices(), dst.Base(), dst.Len(), n)
 	}
-	k := dst.Len()
-	ly := &Layers{
-		dst:    dst,
-		dstV:   graph.DeBruijnVertex(dst),
-		dist:   make([]int32, n),
-		layers: make([][]int32, k+1),
-		links:  make([][]Link, n),
-	}
-	var router *core.Router
-	if g.Kind() == graph.Undirected {
-		router = core.NewRouter(k)
-	}
-	var derr error
-	if _, err := word.ForEach(dst.Base(), k, func(w word.Word) bool {
-		v := graph.DeBruijnVertex(w)
-		var dv int
-		if router != nil {
-			dv, derr = router.Distance(w, dst)
-		} else {
-			dv, derr = core.DirectedDistance(w, dst)
-		}
-		if derr != nil {
-			return false
-		}
-		ly.dist[v] = int32(dv)
-		ly.layers[dv] = append(ly.layers[dv], int32(v))
-		return true
-	}); err != nil {
+	dstV := graph.DeBruijnVertex(dst)
+	bfs, err := g.BFSToAvoidingArcs(dstV, nil)
+	if err != nil {
 		return nil, fmt.Errorf("deflect: %w", err)
 	}
-	if derr != nil {
-		return nil, fmt.Errorf("deflect: %w", derr)
+	k := dst.Len()
+	ly := &Layers{
+		dst:     dst,
+		dstV:    dstV,
+		dist:    make([]int32, n),
+		layers:  make([][]int32, k+1),
+		linkOff: make([]int32, n+1),
 	}
-	for v := 0; v < n; v++ {
-		outs := g.OutNeighbors(v)
-		links := make([]Link, len(outs))
-		for i, u := range outs {
-			links[i] = Link{To: u, Advancing: ly.dist[u] == ly.dist[v]-1}
+	sizes := make([]int, k+1)
+	arcs := 0
+	for v, dv := range bfs {
+		if dv < 0 || dv > k {
+			return nil, fmt.Errorf("deflect: vertex %d at distance %d from %v, outside 0..%d", v, dv, dst, k)
 		}
-		ly.links[v] = links
+		ly.dist[v] = int32(dv)
+		sizes[dv]++
+		arcs += len(g.OutNeighbors(v))
+	}
+	members, off := make([]int32, n), 0
+	for i, size := range sizes {
+		ly.layers[i] = members[off : off : off+size]
+		off += size
+	}
+	ly.links = make([]Link, 0, arcs)
+	for v := 0; v < n; v++ {
+		dv := ly.dist[v]
+		ly.layers[dv] = append(ly.layers[dv], int32(v))
+		for _, u := range g.OutNeighbors(v) {
+			ly.links = append(ly.links, Link{To: u, Advancing: ly.dist[u] == dv-1})
+		}
+		ly.linkOff[v+1] = int32(len(ly.links))
 	}
 	return ly, nil
 }
@@ -124,7 +121,7 @@ func (l *Layers) Dst() word.Word { return l.dst }
 // DstVertex returns the destination's vertex number.
 func (l *Layers) DstVertex() int { return l.dstV }
 
-// Dist returns D(v, dst) per the closed-form distance function.
+// Dist returns D(v, dst).
 func (l *Layers) Dist(v int) int { return int(l.dist[v]) }
 
 // NumLayers returns k+1, the number of (possibly empty) layers B_0..B_k.
@@ -137,13 +134,13 @@ func (l *Layers) Layer(i int) []int32 { return l.layers[i] }
 // Links returns the classified out-links of v, in the adjacency order
 // of the underlying graph (ascending neighbor). The returned slice
 // must not be modified.
-func (l *Layers) Links(v int) []Link { return l.links[v] }
+func (l *Layers) Links(v int) []Link { return l.links[l.linkOff[v]:l.linkOff[v+1]] }
 
 // Advancing returns how many out-links of v decrease the distance —
 // the shortest-path out-diversity the deflection engine can exploit.
 func (l *Layers) Advancing(v int) int {
 	n := 0
-	for _, lk := range l.links[v] {
+	for _, lk := range l.Links(v) {
 		if lk.Advancing {
 			n++
 		}
@@ -153,8 +150,8 @@ func (l *Layers) Advancing(v int) int {
 
 // LayerCache lazily builds and memoizes one Layers per destination.
 // The deflection engine resolves every contention through it, so each
-// destination pays the O(N·k) (directed) or O(N·k²) (undirected)
-// decomposition exactly once per run. Not safe for concurrent use.
+// destination pays the O(N·d) reverse BFS exactly once per run. Not
+// safe for concurrent use.
 type LayerCache struct {
 	g *graph.Graph
 	m map[int]*Layers

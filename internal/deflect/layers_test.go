@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/word"
 )
 
 // smallGraphs enumerates every DG(d,k) with d^k ≤ 4096 and k ≥ 2, the
-// family the acceptance criteria require the layer decomposition to be
-// BFS-validated on.
+// family the layer decomposition is checked against the closed forms
+// on.
 func smallGraphs() []struct{ d, k int } {
 	var out []struct{ d, k int }
 	for d := 2; d <= 5; d++ {
@@ -25,54 +26,32 @@ func smallGraphs() []struct{ d, k int } {
 	return out
 }
 
-// bfsToDst returns the BFS distance from every vertex TO dst: forward
-// BFS for undirected graphs, reverse BFS (along in-neighbors) for
-// directed ones.
-func bfsToDst(t *testing.T, g *graph.Graph, dst int) []int {
-	t.Helper()
-	if g.Kind() == graph.Undirected {
-		dist, err := g.BFSFrom(dst)
-		if err != nil {
-			t.Fatalf("BFSFrom(%d): %v", dst, err)
-		}
-		return dist
-	}
-	n := g.NumVertices()
-	dist := make([]int, n)
-	for v := range dist {
-		dist[v] = -1
-	}
-	dist[dst] = 0
-	queue := []int{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.InNeighbors(v) {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, int(u))
-			}
-		}
-	}
-	return dist
-}
-
-// TestLayersAgreeWithBFS is the acceptance-criteria assertion: on every
-// de Bruijn graph with at most 4096 vertices (both kinds), the
-// closed-form layer decomposition matches BFS distances exactly, the
-// layers partition the vertex set, link classification is consistent,
-// and every non-destination site has at least one advancing link — so
-// the engine deflects only under contention, never for lack of a
-// shortest-path move.
-func TestLayersAgreeWithBFS(t *testing.T) {
+// TestLayersAgreeWithClosedForm holds the BFS-built decomposition to
+// the paper: on every de Bruijn graph with at most 4096 vertices (both
+// kinds), every layer distance equals Property 1 (directed) or
+// Theorem 2 (undirected), the layers partition the vertex set, link
+// classification is consistent, and every non-destination site has at
+// least one advancing link — so the engine deflects only under
+// contention, never for lack of a shortest-path move.
+func TestLayersAgreeWithClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, kind := range []graph.Kind{graph.Directed, graph.Undirected} {
+		closedForm := core.UndirectedDistance
+		if kind == graph.Directed {
+			closedForm = core.DirectedDistance
+		}
 		for _, dk := range smallGraphs() {
 			g, err := graph.DeBruijn(kind, dk.d, dk.k)
 			if err != nil {
 				t.Fatalf("DeBruijn(%v,%d,%d): %v", kind, dk.d, dk.k, err)
 			}
 			n := g.NumVertices()
+			words := make([]word.Word, n)
+			for v := range words {
+				if words[v], err = graph.DeBruijnWord(dk.d, dk.k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var dests []int
 			if n <= 128 {
 				for v := 0; v < n; v++ {
@@ -85,22 +64,21 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 				}
 			}
 			for _, dv := range dests {
-				dw, err := graph.DeBruijnWord(dk.d, dk.k, dv)
-				if err != nil {
-					t.Fatal(err)
-				}
+				dw := words[dv]
 				ly, err := NewLayers(g, dw)
 				if err != nil {
 					t.Fatalf("NewLayers(%v, DG(%v,%d,%d)): %v", dw, kind, dk.d, dk.k, err)
 				}
-				want := bfsToDst(t, g, dv)
 				total := 0
 				for i := 0; i < ly.NumLayers(); i++ {
 					total += len(ly.Layer(i))
-					for _, v := range ly.Layer(i) {
+					for j, v := range ly.Layer(i) {
 						if ly.Dist(int(v)) != i {
 							t.Fatalf("DG(%v,%d,%d) dst %v: vertex %d in layer %d but Dist=%d",
 								kind, dk.d, dk.k, dw, v, i, ly.Dist(int(v)))
+						}
+						if j > 0 && ly.Layer(i)[j-1] >= v {
+							t.Fatalf("DG(%v,%d,%d) dst %v: layer %d not ascending at %d", kind, dk.d, dk.k, dw, i, j)
 						}
 					}
 				}
@@ -109,9 +87,13 @@ func TestLayersAgreeWithBFS(t *testing.T) {
 						kind, dk.d, dk.k, dw, total, n)
 				}
 				for v := 0; v < n; v++ {
-					if ly.Dist(v) != want[v] {
-						t.Fatalf("DG(%v,%d,%d): closed-form D(%d,%v)=%d, BFS says %d",
-							kind, dk.d, dk.k, v, dw, ly.Dist(v), want[v])
+					want, err := closedForm(words[v], dw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ly.Dist(v) != want {
+						t.Fatalf("DG(%v,%d,%d): layer D(%v,%v)=%d, closed form says %d",
+							kind, dk.d, dk.k, words[v], dw, ly.Dist(v), want)
 					}
 					adv := 0
 					for _, lk := range ly.Links(v) {

@@ -31,38 +31,33 @@ func (PolicyRandom) Choose(e *Engine, _ *Layers, _ int, candidates []int32) (int
 	return e.rng.Intn(len(candidates)), nil
 }
 
-// PolicyMinIncrease evaluates the closed-form distance function
-// (Property 1 directed, Theorem 2 undirected) at each candidate and
-// takes the first candidate of minimal distance. A deflection under
-// this policy costs the least distance increase the free links allow;
-// the first-of-minima tie-break makes the policy fully deterministic.
+// PolicyMinIncrease ranks the candidates by their distance to the
+// destination and takes the first candidate of minimal distance. A
+// deflection under this policy costs the least distance increase the
+// free links allow; the first-of-minima tie-break makes the policy
+// fully deterministic.
 type PolicyMinIncrease struct{}
 
 // Name implements Policy.
 func (PolicyMinIncrease) Name() string { return "min-increase" }
 
 // Choose implements Policy.
-func (PolicyMinIncrease) Choose(e *Engine, ly *Layers, _ int, candidates []int32) (int, error) {
-	best, bestDist := 0, -1
+func (PolicyMinIncrease) Choose(_ *Engine, ly *Layers, _ int, candidates []int32) (int, error) {
+	best := 0
 	for i, u := range candidates {
-		d, err := e.distanceTo(int(u), ly.Dst())
-		if err != nil {
-			return 0, err
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
+		if ly.dist[u] < ly.dist[candidates[best]] {
+			best = i
 		}
 	}
 	return best, nil
 }
 
 // PolicyLayerAware reads each candidate's layer index from the
-// precomputed decomposition (an O(1) lookup instead of an O(k)/O(k²)
-// distance evaluation) and picks uniformly among the candidates in the
-// lowest layer. It never concedes distance to PolicyMinIncrease — the
-// chosen layer is the same minimum — but the randomized tie-break
-// spreads contending traffic across equivalent links instead of
-// repeatedly colliding on the first one.
+// decomposition, as PolicyMinIncrease does, and picks uniformly among
+// the candidates in the lowest layer. It never concedes distance to
+// PolicyMinIncrease — the chosen layer is the same minimum — but the
+// randomized tie-break spreads contending traffic across equivalent
+// links instead of repeatedly colliding on the first one.
 type PolicyLayerAware struct{}
 
 // Name implements Policy.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -99,23 +98,17 @@ func (PlanLeastLoaded) Name() string { return "least-loaded" }
 // Contention is the batch store-and-forward simulator.
 type Contention struct {
 	cfg     ContentionConfig
+	n       int32 // d^k
 	rng     *rand.Rand
 	planned map[[2]int]int
-	flows   []*flow
-}
-
-type flow struct {
-	id    int
-	walk  []word.Word // full planned site sequence
-	pos   int         // index of the site currently holding the message
-	done  int         // delivery round, -1 while in flight
-	queue int         // FIFO arrival counter at the current link
+	walks   [][]int32 // planned vertex-id walk of each message
 }
 
 // NewContention validates the configuration.
 func NewContention(cfg ContentionConfig) (*Contention, error) {
-	if _, err := word.Count(cfg.D, cfg.K); err != nil {
-		return nil, fmt.Errorf("network: %w", err)
+	n, err := vertexCount(cfg.D, cfg.K)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.LinkCapacity == 0 {
 		cfg.LinkCapacity = 1
@@ -128,6 +121,7 @@ func NewContention(cfg ContentionConfig) (*Contention, error) {
 	}
 	return &Contention{
 		cfg:     cfg,
+		n:       n,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		planned: make(map[[2]int]int),
 	}, nil
@@ -155,15 +149,13 @@ func (c *Contention) Add(src, dst word.Word) error {
 	if err != nil {
 		return err
 	}
-	walk, err := conc.Vertices(src)
-	if err != nil {
-		return err
+	walk := make([]int32, len(conc)+1)
+	walk[0] = int32(graph.DeBruijnVertex(src))
+	for i, h := range conc {
+		walk[i+1] = rankStep(walk[i], h.Type, h.Digit, int32(c.cfg.D), c.n)
+		c.planned[[2]int{int(walk[i]), int(walk[i+1])}]++
 	}
-	for i := 1; i < len(walk); i++ {
-		link := [2]int{graph.DeBruijnVertex(walk[i-1]), graph.DeBruijnVertex(walk[i])}
-		c.planned[link]++
-	}
-	c.flows = append(c.flows, &flow{id: len(c.flows), walk: walk, done: -1})
+	c.walks = append(c.walks, walk)
 	return nil
 }
 
@@ -199,89 +191,51 @@ type ContentionResult struct {
 func (c *Contention) Run() (ContentionResult, error) {
 	maxRounds := c.cfg.MaxRounds
 	if maxRounds == 0 {
-		maxRounds = 64*c.cfg.K + len(c.flows)
+		maxRounds = 64*c.cfg.K + len(c.walks)
 	}
-	res := ContentionResult{Messages: len(c.flows)}
+	res := ContentionResult{Messages: len(c.walks)}
 	var latency stats.Accumulator
 	var slowdown stats.Accumulator
 	var p95 stats.Histogram
-	remaining := 0
-	for _, f := range c.flows {
-		if len(f.walk) == 1 {
-			f.done = 0
+	// Message i enters its first link with arrival stamp i.
+	q := make([]queued, 0, len(c.walks))
+	for i, walk := range c.walks {
+		if len(walk) == 1 {
 			latency.Add(0)
 			slowdown.Add(1)
 			if err := p95.Add(0); err != nil {
 				return res, err
 			}
-		} else {
-			remaining++
+			continue
 		}
+		q = append(q, queued{from: walk[0], to: walk[1], id: int32(i), stamp: i})
 	}
-	arrival := 0
-	for _, f := range c.flows {
-		f.queue = arrival
-		arrival++
-	}
-	for round := 1; remaining > 0; round++ {
+	pos := make([]int, len(c.walks)) // walk index of the site holding each message
+	arrival := len(c.walks)
+	for round := 1; len(q) > 0; round++ {
 		if round > maxRounds {
 			return res, errors.New("network: contention run exceeded round budget")
 		}
-		// Group in-flight flows by their next link.
-		byLink := make(map[[2]int][]*flow)
-		for _, f := range c.flows {
-			if f.done >= 0 {
-				continue
+		var maxQueue int
+		q, maxQueue = linkRound(q, c.cfg.LinkCapacity, func(e *queued) bool {
+			walk := c.walks[e.id]
+			pos[e.id]++
+			p := pos[e.id]
+			e.stamp = arrival // re-enqueue order at the next link
+			arrival++
+			if p < len(walk)-1 {
+				e.from, e.to = walk[p], walk[p+1]
+				return false
 			}
-			link := [2]int{
-				graph.DeBruijnVertex(f.walk[f.pos]),
-				graph.DeBruijnVertex(f.walk[f.pos+1]),
-			}
-			byLink[link] = append(byLink[link], f)
-		}
-		// Deterministic link order: the arrival counters handed out
-		// below seed later FIFO tie-breaks, so map order must not leak.
-		links := make([][2]int, 0, len(byLink))
-		for link := range byLink {
-			links = append(links, link)
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i][0] != links[j][0] {
-				return links[i][0] < links[j][0]
-			}
-			return links[i][1] < links[j][1]
+			latency.Add(float64(round))
+			slowdown.Add(float64(round) / float64(len(walk)-1))
+			// stats.Histogram rejects only negatives; round ≥ 1.
+			_ = p95.Add(round)
+			res.MaxLatency = max(res.MaxLatency, round)
+			res.Rounds = max(res.Rounds, round)
+			return true
 		})
-		for _, link := range links {
-			queued := byLink[link]
-			sort.Slice(queued, func(i, j int) bool { return queued[i].queue < queued[j].queue })
-			if len(queued) > res.MaxQueue {
-				res.MaxQueue = len(queued)
-			}
-			moved := c.cfg.LinkCapacity
-			if moved > len(queued) {
-				moved = len(queued)
-			}
-			for _, f := range queued[:moved] {
-				f.pos++
-				f.queue = arrival // re-enqueue order at the next link
-				arrival++
-				if f.pos == len(f.walk)-1 {
-					f.done = round
-					remaining--
-					latency.Add(float64(round))
-					slowdown.Add(float64(round) / float64(len(f.walk)-1))
-					if err := p95.Add(round); err != nil {
-						return res, err
-					}
-					if round > res.MaxLatency {
-						res.MaxLatency = round
-					}
-					if round > res.Rounds {
-						res.Rounds = round
-					}
-				}
-			}
-		}
+		res.MaxQueue = max(res.MaxQueue, maxQueue)
 	}
 	res.MeanLatency = latency.Mean()
 	res.MeanSlowdown = slowdown.Mean()

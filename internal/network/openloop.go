@@ -2,12 +2,9 @@ package network
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/word"
 )
@@ -49,19 +46,21 @@ type OpenLoopResult struct {
 	Saturated    bool    // true when the run hit MaxRounds undrained
 }
 
+// openMsg is one message of an open-loop run: its walk of vertex ids
+// and the round it was injected in.
 type openMsg struct {
-	walk     []word.Word
+	walk     []int32
 	pos      int
 	injected int
-	queue    int
 }
 
 // RunOpenLoop executes the open-loop simulation. When the offered
 // load exceeds what the topology can carry, the run reports
 // Saturated=true with statistics over the messages that did deliver.
 func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
-	if _, err := word.Count(cfg.D, cfg.K); err != nil {
-		return OpenLoopResult{}, fmt.Errorf("network: %w", err)
+	n, err := vertexCount(cfg.D, cfg.K)
+	if err != nil {
+		return OpenLoopResult{}, err
 	}
 	if cfg.Rate <= 0 {
 		return OpenLoopResult{}, errors.New("network: rate must be positive")
@@ -79,10 +78,6 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		cfg.MaxRounds = 40*cfg.Rounds + 64*cfg.K
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n, err := word.Count(cfg.D, cfg.K)
-	if err != nil {
-		return OpenLoopResult{}, err
-	}
 	sites := make([]word.Word, n)
 	for i := range sites {
 		w, err := word.Unrank(cfg.D, cfg.K, uint64(i))
@@ -94,9 +89,13 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	var res OpenLoopResult
 	var latency, slowdown stats.Accumulator
 	var p95 stats.Histogram
-	var inflight []*openMsg
+	d := int32(cfg.D)
+	// msgs holds the messages in flight, indexed by queued.id; free
+	// lists the slots of delivered ones for reuse.
+	var msgs []openMsg
+	var free []int32
+	var q []queued
 	arrival := 0
-	remaining := 0
 	for round := 1; ; round++ {
 		if round > cfg.MaxRounds {
 			res.Saturated = true
@@ -104,7 +103,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		}
 		// Arrivals during the measurement window.
 		if round <= cfg.Rounds {
-			for _, src := range sites {
+			for v, src := range sites {
 				if rng.Float64() >= cfg.Rate {
 					continue
 				}
@@ -113,20 +112,10 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 				if err != nil {
 					return OpenLoopResult{}, err
 				}
-				conc, err := route.Concrete(src, func(int, word.Word, core.Hop) byte {
-					return byte(rng.Intn(cfg.D))
-				})
-				if err != nil {
-					return OpenLoopResult{}, err
-				}
-				walk, err := conc.Vertices(src)
-				if err != nil {
-					return OpenLoopResult{}, err
-				}
 				res.Offered++
-				m := &openMsg{walk: walk, injected: round, queue: arrival}
+				stamp := arrival
 				arrival++
-				if len(walk) == 1 {
+				if len(route) == 0 {
 					res.Delivered++
 					latency.Add(0)
 					slowdown.Add(1)
@@ -135,76 +124,51 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 					}
 					continue
 				}
-				inflight = append(inflight, m)
-				remaining++
+				// Wildcard hops draw their digit in hop order.
+				walk := make([]int32, len(route)+1)
+				walk[0] = int32(v)
+				for i, h := range route {
+					b := h.Digit
+					if h.Wildcard {
+						b = byte(rng.Intn(cfg.D))
+					}
+					walk[i+1] = rankStep(walk[i], h.Type, b, d, n)
+				}
+				var id int32
+				if len(free) > 0 {
+					id, free = free[len(free)-1], free[:len(free)-1]
+					msgs[id] = openMsg{walk: walk, injected: round}
+				} else {
+					id = int32(len(msgs))
+					msgs = append(msgs, openMsg{walk: walk, injected: round})
+				}
+				q = append(q, queued{from: walk[0], to: walk[1], id: id, stamp: stamp})
 			}
-		} else if remaining == 0 {
+		} else if len(q) == 0 {
 			break
 		}
 		// One synchronous forwarding round (same discipline as the
 		// batch engine: per-link FIFO with capacity).
-		byLink := make(map[[2]int][]*openMsg)
-		for _, m := range inflight {
-			if m.pos >= len(m.walk)-1 {
-				continue
+		q, _ = linkRound(q, cfg.LinkCapacity, func(e *queued) bool {
+			m := &msgs[e.id]
+			m.pos++
+			e.stamp = arrival
+			arrival++
+			if m.pos < len(m.walk)-1 {
+				e.from, e.to = m.walk[m.pos], m.walk[m.pos+1]
+				return false
 			}
-			link := [2]int{
-				graph.DeBruijnVertex(m.walk[m.pos]),
-				graph.DeBruijnVertex(m.walk[m.pos+1]),
-			}
-			byLink[link] = append(byLink[link], m)
-		}
-		links := make([][2]int, 0, len(byLink))
-		for link := range byLink {
-			links = append(links, link)
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i][0] != links[j][0] {
-				return links[i][0] < links[j][0]
-			}
-			return links[i][1] < links[j][1]
+			res.Delivered++
+			lat := round - m.injected + 1
+			latency.Add(float64(lat))
+			slowdown.Add(float64(lat) / float64(len(m.walk)-1))
+			// stats.Histogram rejects only negatives; lat ≥ 1.
+			_ = p95.Add(lat)
+			res.MaxLatency = max(res.MaxLatency, lat)
+			m.walk = nil
+			free = append(free, e.id)
+			return true
 		})
-		progressed := false
-		for _, link := range links {
-			queued := byLink[link]
-			sort.Slice(queued, func(i, j int) bool { return queued[i].queue < queued[j].queue })
-			moved := cfg.LinkCapacity
-			if moved > len(queued) {
-				moved = len(queued)
-			}
-			for _, m := range queued[:moved] {
-				m.pos++
-				m.queue = arrival
-				arrival++
-				progressed = true
-				if m.pos == len(m.walk)-1 {
-					remaining--
-					res.Delivered++
-					lat := round - m.injected + 1
-					latency.Add(float64(lat))
-					slowdown.Add(float64(lat) / float64(len(m.walk)-1))
-					if err := p95.Add(lat); err != nil {
-						return OpenLoopResult{}, err
-					}
-					if lat > res.MaxLatency {
-						res.MaxLatency = lat
-					}
-				}
-			}
-		}
-		if round > cfg.Rounds && !progressed && remaining > 0 {
-			return OpenLoopResult{}, errors.New("network: open loop stalled (internal error)")
-		}
-		// Compact delivered messages occasionally.
-		if len(inflight) > 4096 {
-			kept := inflight[:0]
-			for _, m := range inflight {
-				if m.pos < len(m.walk)-1 {
-					kept = append(kept, m)
-				}
-			}
-			inflight = kept
-		}
 	}
 	res.MeanLatency = latency.Mean()
 	res.MeanSlowdown = slowdown.Mean()
