@@ -101,8 +101,10 @@ func FuzzDirectedAgainstBFS(f *testing.F) {
 
 // FuzzKernelTierEquivalence throws arbitrary digit material at the
 // tier ladder: a scratch-forced, a packed-forced, and a table-admitting
-// engine (plus the packed engine's batch frame) must return identical
-// distances, paths, and next hops for every input.
+// engine (plus each engine's batch frame) must return the distances,
+// Algorithm 4 path and first hop of the package-level references
+// (UndirectedDistanceLinear, DirectedDistance, RouteUndirectedLinear,
+// NextHopUndirected) for every input.
 func FuzzKernelTierEquivalence(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 1, 0, 1, 0}, []byte{1, 0, 0, 1, 1, 1})
 	f.Add(uint8(3), []byte{0, 1, 2, 2}, []byte{2, 1, 0, 0})
@@ -128,20 +130,19 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 			"packed":  NewKernels(KernelConfig{TableBudget: -1}),
 			"table":   NewKernels(KernelConfig{SyncTableBuild: true}),
 		}
-		ref := engines["scratch"]
-		wantU, err := ref.UndirectedDistance(x, y)
+		wantU, err := UndirectedDistanceLinear(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantD, err := ref.DirectedDistance(x, y)
+		wantD, err := DirectedDistance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantP, err := ref.RouteUndirected(x, y)
+		wantP, err := RouteUndirectedLinear(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantH, wantOK, err := ref.NextHopUndirected(x, y)
+		wantH, wantOK, err := NextHopUndirected(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +171,10 @@ func FuzzKernelTierEquivalence(f *testing.F) {
 			gotU, err = fr.UndirectedDistance(i)
 			if err != nil || gotU != wantU {
 				t.Fatalf("%s frame: UndirectedDistance(%v,%v) = %d,%v want %d", name, x, y, gotU, err, wantU)
+			}
+			gotP, err = fr.RouteUndirected(i)
+			if err != nil || !slices.Equal(gotP, wantP) {
+				t.Fatalf("%s frame: RouteUndirected(%v,%v) = %v,%v want %v", name, x, y, gotP, err, wantP)
 			}
 			gotH, gotOK, err = fr.NextHopUndirected(i)
 			if err != nil || gotOK != wantOK || gotH != wantH {

@@ -15,11 +15,10 @@ import (
 //	                 d ≤ 4 with k·b ≤ 1024 packed bits.
 //	T3 TierScratch — the byte-digit scratch kernels, any (d,k).
 //
-// Every tier returns byte-identical answers: for a given (d,k) there
-// is one canonical result set (distances are Theorem 2's values;
-// anchors and paths follow the quadratic sweep's row-major tie-break
-// when operands fit one machine word, the suffix-tree walk's
-// otherwise), and each tier reproduces it exactly. internal/check's
+// Every tier returns byte-identical answers: there is one canonical
+// result set (distances are Theorem 2's values; anchors and paths are
+// Algorithm 4's, the suffix-tree walk's post-order tie-break, for
+// every DG(d,k)), and each tier reproduces it exactly. internal/check's
 // kernels oracle and FuzzKernelTierEquivalence enforce this.
 type Tier uint8
 
@@ -58,8 +57,8 @@ type KernelConfig struct {
 	TableBudget int64
 	// DisablePacked turns off the bit-packed tier (T2); eligible
 	// queries fall through to the scratch kernels. Answers do not
-	// change — the scratch path reproduces the packed tier's
-	// canonical anchors.
+	// change — the scratch tree walk computes the anchors the packed
+	// tier reproduces.
 	DisablePacked bool
 	// SyncTableBuild makes the first query of a table-eligible (d,k)
 	// block until its table is built. The default is asynchronous:
@@ -151,20 +150,14 @@ func (kn *Kernels) resolveSlow(d, k int) (tierInfo, bool) {
 	return tierInfo{tier: TierScratch}, !pending
 }
 
-// canonicalAnchors returns the anchors that define this (d,k)'s paths:
-// the quadratic sweep's in the single-word regime, the suffix-tree
-// walk's otherwise. The packed kernel computes the former when
-// enabled; the scratch fallback reproduces them exactly.
+// canonicalAnchors returns Algorithm 4's anchors, which define the
+// paths of every (d,k): the packed kernel computes them when operands
+// fit one machine word, the scratch tree walk otherwise.
 func (kn *Kernels) canonicalAnchors(x, y word.Word) (anchor, anchor, error) {
 	d, k := x.Base(), x.Len()
-	if packedSingleWord(d, k) {
-		if !kn.cfg.DisablePacked {
-			kn.ps.load(x, y)
-			aL, aR := packedAnchors1(kn.ps.x[0], kn.ps.y[0], k, word.PackedBits(d), kn.lens(k))
-			return aL, aR, nil
-		}
-		kn.sc.loadDigits(x, y)
-		aL, aR := kn.sc.anchorsQuadratic(kn.sc.xd, kn.sc.yd)
+	if !kn.cfg.DisablePacked && packedSingleWord(d, k) {
+		kn.ps.load(x, y)
+		aL, aR := packedAnchors1(kn.ps.x[0], kn.ps.y[0], k, word.PackedBits(d), kn.lens(k))
 		return aL, aR, nil
 	}
 	kn.sc.loadDigits(x, y)
@@ -237,7 +230,7 @@ func clampDist(k, dL, dR int) int {
 	return d
 }
 
-// RouteUndirected is Algorithm 2 through the tier ladder; only the
+// RouteUndirected is Algorithm 4 through the tier ladder; only the
 // returned path is allocated.
 func (kn *Kernels) RouteUndirected(x, y word.Word) (Path, error) {
 	if err := validatePair(x, y); err != nil {
@@ -257,7 +250,7 @@ func (kn *Kernels) RouteUndirected(x, y word.Word) (Path, error) {
 	return buildUndirectedPath(y, aL, aR), nil
 }
 
-// NextHopUndirected returns the first hop of the canonical Algorithm 2
+// NextHopUndirected returns the first hop of the canonical Algorithm 4
 // path with zero allocation.
 func (kn *Kernels) NextHopUndirected(x, y word.Word) (Hop, bool, error) {
 	if err := validatePair(x, y); err != nil {

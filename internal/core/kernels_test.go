@@ -3,17 +3,19 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/word"
 )
 
-// TestPackedAnchorsMatchQuadratic pins the packed anchor kernel to the
-// quadratic sweep byte for byte — distances, the winning (s, t, θ), and
-// the row-major tie-break — exhaustively on small graphs and on random
-// plus adversarial near-periodic operands at single-word sizes.
-func TestPackedAnchorsMatchQuadratic(t *testing.T) {
+// TestPackedAnchorsMatchTreeWalk pins the packed anchor kernel to
+// Algorithm 4's tree walk anchor for anchor — distances, the winning
+// (s, t, θ), the post-order tie-break and the saturated sentinels —
+// exhaustively on small graphs and on random plus adversarial
+// near-periodic operands at single-word sizes.
+func TestPackedAnchorsMatchTreeWalk(t *testing.T) {
 	var sc Scratch
 	var ps packedScratch
 	check := func(x, y word.Word) {
@@ -23,17 +25,20 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 		}
 		d, k := x.Base(), x.Len()
 		sc.loadDigits(x, y)
-		wantL, wantR := sc.anchorsQuadratic(sc.xd, sc.yd)
+		wantL, wantR, err := sc.treeAnchors(sc.xd, sc.yd)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ps.load(x, y)
 		lens := make([]int16, 2*k-1)
 		gotL, gotR := packedAnchors1(ps.x[0], ps.y[0], k, word.PackedBits(d), lens)
 		if gotL != wantL || gotR != wantR {
-			t.Fatalf("DG(%d,%d) %v -> %v:\n  packed L=%+v R=%+v\n  quad   L=%+v R=%+v",
+			t.Fatalf("DG(%d,%d) %v -> %v:\n  packed L=%+v R=%+v\n  tree   L=%+v R=%+v",
 				d, k, x, y, gotL, gotR, wantL, wantR)
 		}
 	}
 
-	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 4}, {4, 4}} {
+	for _, tc := range []struct{ d, maxK int }{{2, 8}, {3, 5}, {4, 4}} {
 		for k := 1; k <= tc.maxK; k++ {
 			words := allWords(t, tc.d, k)
 			for _, x := range words {
@@ -44,13 +49,23 @@ func TestPackedAnchorsMatchQuadratic(t *testing.T) {
 		}
 	}
 
+	// Random pairs, and overlap-seeded ones: y carries a copy of a
+	// random stretch of x at a random offset, so several shifts hold
+	// long runs and the label order decides between them.
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct{ d, k, n int }{
 		{2, 64, 500}, {2, 63, 300}, {2, 33, 300}, {2, 17, 300},
 		{3, 32, 300}, {3, 20, 300}, {4, 32, 300}, {4, 15, 300},
 	} {
 		for i := 0; i < tc.n; i++ {
-			check(word.Random(tc.d, tc.k, rng), word.Random(tc.d, tc.k, rng))
+			x, y := word.Random(tc.d, tc.k, rng), word.Random(tc.d, tc.k, rng)
+			check(x, y)
+			xd, yd := x.Digits(), y.Digits()
+			n := 1 + rng.Intn(tc.k)
+			copy(yd[rng.Intn(tc.k-n+1):], xd[rng.Intn(tc.k-n+1):][:n])
+			z := word.MustNew(tc.d, yd)
+			check(x, z)
+			check(z, x)
 		}
 	}
 
@@ -247,18 +262,11 @@ func TestKernelsTierSelection(t *testing.T) {
 	}
 }
 
-// kernelRefRoute is the canonical Algorithm 2 path for DG(d,k): the
-// quadratic sweep's in the single-word regime, the suffix-tree walk's
-// otherwise — computed entirely outside the tier engine.
+// kernelRefRoute is the canonical path for DG(d,k): Algorithm 4's,
+// computed entirely outside the tier engine.
 func kernelRefRoute(t testing.TB, x, y word.Word) Path {
 	t.Helper()
-	var p Path
-	var err error
-	if packedSingleWord(x.Base(), x.Len()) {
-		p, err = RouteUndirected(x, y)
-	} else {
-		p, err = RouteUndirectedLinear(x, y)
-	}
+	p, err := RouteUndirectedLinear(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +373,96 @@ func TestKernelsMatchScratch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKernelsMatchAlgorithm4 pins every tier — scratch, packed and
+// table, each also through its batch frame — to the package-level
+// Algorithm 4 reference: RouteUndirected must return
+// RouteUndirectedLinear's path hop for hop and NextHopUndirected its
+// first hop. Every pair is checked up to 256 vertices, a sample up to
+// 4096.
+func TestKernelsMatchAlgorithm4(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	engines := []struct {
+		name string
+		kn   *Kernels
+	}{
+		{"scratch", NewKernels(KernelConfig{TableBudget: -1, DisablePacked: true})},
+		{"packed", NewKernels(KernelConfig{TableBudget: -1})},
+		{"table", NewKernels(KernelConfig{SyncTableBuild: true})},
+	}
+	graphs := [][2]int{
+		{2, 1}, {2, 2}, {2, 3}, {2, 4}, {2, 5}, {2, 6}, {2, 7}, {2, 8},
+		{3, 2}, {3, 3}, {3, 4}, {3, 5}, {4, 2}, {4, 3}, {4, 4},
+		{5, 3}, {6, 3}, {16, 2},
+		{2, 10}, {2, 12}, {3, 7}, {4, 6}, {8, 4},
+	}
+	if testing.Short() || raceEnabled {
+		graphs = [][2]int{{2, 6}, {3, 4}, {5, 3}, {2, 12}}
+	}
+	for _, g := range graphs {
+		d, k := g[0], g[1]
+		words := allWords(t, d, k)
+		srcs, dsts := words, words
+		if len(words) > 256 {
+			srcs, dsts = make([]word.Word, 16), make([]word.Word, 64)
+			for i := range srcs {
+				srcs[i] = words[rng.Intn(len(words))]
+			}
+			for i := range dsts {
+				dsts[i] = words[rng.Intn(len(words))]
+			}
+		}
+		for _, x := range srcs {
+			want := make([]Path, len(dsts))
+			wantH := make([]Hop, len(dsts))
+			for j, y := range dsts {
+				p, err := RouteUndirectedLinear(x, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, _, err := NextHopUndirected(x, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[j], wantH[j] = p, h
+			}
+			for _, e := range engines {
+				f := e.kn.Frame()
+				for _, y := range dsts {
+					if _, err := f.Add(x, y); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for j, y := range dsts {
+					for _, via := range []string{"scalar", "frame"} {
+						var p Path
+						var h Hop
+						var ok bool
+						var perr, herr error
+						if via == "scalar" {
+							p, perr = e.kn.RouteUndirected(x, y)
+							h, ok, herr = e.kn.NextHopUndirected(x, y)
+						} else {
+							p, perr = f.RouteUndirected(j)
+							h, ok, herr = f.NextHopUndirected(j)
+						}
+						if perr != nil || herr != nil {
+							t.Fatalf("DG(%d,%d) %s %s %v -> %v: %v, %v", d, k, e.name, via, x, y, perr, herr)
+						}
+						if !slices.Equal(p, want[j]) {
+							t.Fatalf("DG(%d,%d) %s %s RouteUndirected %v -> %v:\n  got  %v\n  want %v",
+								d, k, e.name, via, x, y, p, want[j])
+						}
+						if h != wantH[j] || ok != (len(want[j]) > 0) {
+							t.Fatalf("DG(%d,%d) %s %s NextHopUndirected %v -> %v: got %v,%v want %v",
+								d, k, e.name, via, x, y, h, ok, wantH[j])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -18,12 +18,17 @@ import (
 //	bestL = min(k, min_c 2k - 2L_c - c)
 //	bestR = min(k, min_c 2k - 2L_c + c)
 //
-// reproduces bestLWith/bestRWith exactly — including the argmin anchors:
-// the quadratic sweep's row-major tie-break (i ascending, then j) maps
-// to "first longest run of the qualifying shift, shifts compared by
-// their candidate (s, t)", with the trivial pairs (1,k) / (k,1), θ = 0
-// as sentinels when the minimum saturates at k. The equivalence is
-// pinned by TestPackedAnchorsMatchQuadratic and the fuzz target.
+// reproduces Theorem 2's minima exactly. The anchors follow
+// Algorithm 4's tree walk (Scratch.treeAnchors): an optimal run is
+// maximal, hence an explicit vertex of the compact prefix tree of
+// X⊥Y⊤, and the walk keeps the first optimal vertex in post-order
+// with children ascending. So among the longest runs of the
+// qualifying shifts (one per shift: a run scoring ≤ k fills at least
+// half of its window), the run whose label X[i..i+θ-1] comes first wins
+// — labels compare digit by digit, and a label comes before each of
+// its proper prefixes — with the trivial-path sentinel {dist: k} when
+// no run scores ≤ k. The equivalence is pinned by
+// TestPackedAnchorsMatchTreeWalk and the fuzz target.
 //
 // Two evaluation depths:
 //
@@ -32,12 +37,12 @@ import (
 //     bound), hence spans the window's center digit — so the longest
 //     relevant run comes from two trailing/leading-zero counts around
 //     the center, branch-free, no loop (packedDistance1/N).
-//   - full anchors: ties at the saturated value k involve runs of
-//     exactly half the window, which need not span the center, so the
-//     anchor kernel computes every shift's exact longest run with the
-//     m &= m<<b reduction (packedAnchors1). Exact anchors are kept to
-//     the single-word regime (k·b ≤ 64); beyond it route construction
-//     stays on the scratch kernels.
+//   - full anchors: runs scoring exactly k can fill exactly half their
+//     window, which need not span the center, so the anchor kernel
+//     computes every shift's exact longest run with the m &= m<<b
+//     reduction (packedAnchors1). Exact anchors are kept to the
+//     single-word regime (k·b ≤ 64); beyond it route construction
+//     stays on the scratch tree walk.
 
 // maxPackedBits bounds the packed operand size the bit tier accepts
 // for distance evaluation; beyond it (k > 1024 at d=2, k > 512 at
@@ -146,42 +151,26 @@ func packedDistance1(x, y uint64, k, b int) (dL, dR int) {
 }
 
 // packedAnchors1 computes the exact Theorem 2 anchors on single-word
-// packed operands, byte-identical to anchorsQuadratic. Pass 1 records
+// packed operands, identical to Scratch.treeAnchors. Pass 1 records
 // every shift's exact longest run (the m &= m<<b reduction, its +c
-// and -c dependency chains interleaved); pass 2 revisits only the
-// qualifying shifts and resolves the row-major tie-break: the first
-// longest run of each qualifying shift yields candidate (s, t, θ),
-// the lexicographic minimum by (s, then t) wins, and the trivial pair
-// competes as a sentinel when the minimum saturates at k.
+// and -c dependency chains interleaved) and both minima. Pass 2
+// revisits only the qualifying shifts and keeps, per side, the run
+// whose label X[i..i+θ-1] the tree walk reaches first (labelBefore).
+// When no run scores ≤ k, an anchor stays the trivial-path sentinel.
 func packedAnchors1(x, y uint64, k, b int, lens []int16) (aL, aR anchor) {
 	kb := uint(k * b)
 	full := ^uint64(0)
 	if kb < 64 {
 		full = uint64(1)<<kb - 1
 	}
-	dL, dR := k, k
-	{
-		g := packedAgree1(x, y, b) & full
-		n := 0
-		for g != 0 {
-			g &= g << uint(b)
-			n++
-		}
-		lens[k-1] = int16(n)
-		if n > 0 {
-			if v := 2 * (k - n); v < dL {
-				dL = v
-				dR = v
-			}
-		}
-	}
+	dL, dR := k+1, k+1 // only runs scoring ≤ k are candidates
 	digMask := uint64(1)<<uint(b) - 1
 	low := uint64(0)
-	for a := 1; a <= k-1; a++ {
+	for a := 0; a <= k-1; a++ { // a = 0: both chains scan shift 0
 		ab := uint(a * b)
-		low = low<<uint(b) | digMask
 		gp := packedAgree1(x, y>>ab, b) & (full >> ab)
 		gm := packedAgree1(x, y<<ab, b) & full &^ low
+		low = low<<uint(b) | digMask
 		np, nm := 0, 0
 		for gp != 0 && gm != 0 {
 			gp &= gp << uint(b)
@@ -216,53 +205,57 @@ func packedAnchors1(x, y uint64, k, b int, lens []int16) (aL, aR anchor) {
 			}
 		}
 	}
-	const inf = 1 << 30
-	aL = anchor{s: inf, t: inf, dist: inf}
-	aR = anchor{s: inf, t: inf, dist: inf}
-	if dL == k {
-		aL = anchor{s: 1, t: k, theta: 0, dist: k}
-	}
-	if dR == k {
-		aR = anchor{s: k, t: 1, theta: 0, dist: k}
-	}
+	aL, aR = anchor{dist: k}, anchor{dist: k}
+	var labL, labR uint64 // labels of the winners so far (θ = 0: none)
 	for c := -(k - 1); c <= k-1; c++ {
 		n := int(lens[c+k-1])
 		if n == 0 {
 			continue
 		}
-		okL := 2*(k-n)-c == dL
-		okR := 2*(k-n)+c == dR
+		okL := dL <= k && 2*(k-n)-c == dL
+		okR := dR <= k && 2*(k-n)+c == dR
 		if !okL && !okR {
 			continue
 		}
-		var g uint64
+		// A run scoring ≤ k fills at least half of its window, so it is
+		// the shift's only longest run: the reduced mask has one digit.
+		var r uint64
 		if c >= 0 {
 			cb := uint(c * b)
-			g = packedAgree1(x, y>>cb, b) & (full >> cb)
+			r = packedAgree1(x, y>>cb, b) & (full >> cb)
 		} else {
 			cb := uint(-c * b)
-			g = packedAgree1(x, y<<cb, b) & full &^ (uint64(1)<<cb - 1)
+			r = packedAgree1(x, y<<cb, b) & full &^ (uint64(1)<<cb - 1)
 		}
-		r := g
 		for i := 1; i < n; i++ {
 			r &= r << uint(b)
 		}
-		e := bits.TrailingZeros64(r) / b // 0-based end digit of first longest run
+		e := bits.TrailingZeros64(r) / b // 0-based end digit of the run
 		a0 := e - n + 1                  // 0-based start digit
-		if okL {
-			cand := anchor{s: a0 + 1, t: e + 1 + c, theta: n, dist: dL}
-			if cand.s < aL.s || (cand.s == aL.s && cand.t < aL.t) {
-				aL = cand
-			}
+		lab := x >> uint(a0*b) & (uint64(1)<<uint(n*b) - 1)
+		if okL && (aL.theta == 0 || labelBefore(lab, n, labL, aL.theta, b)) {
+			aL, labL = anchor{s: a0 + 1, t: e + 1 + c, theta: n, dist: dL}, lab
 		}
-		if okR {
-			cand := anchor{s: e + 1, t: a0 + 1 + c, theta: n, dist: dR}
-			if cand.s < aR.s || (cand.s == aR.s && cand.t < aR.t) {
-				aR = cand
-			}
+		if okR && (aR.theta == 0 || labelBefore(lab, n, labR, aR.theta, b)) {
+			aR, labR = anchor{s: e + 1, t: a0 + 1 + c, theta: n, dist: dR}, lab
 		}
 	}
 	return aL, aR
+}
+
+// labelBefore reports whether packed label p (n digits) precedes label
+// q (m digits) in the post-order of the compact prefix tree: children
+// are visited in ascending digit order, and a vertex after all of its
+// descendants, so the first differing digit decides and a label
+// precedes each of its proper prefixes.
+func labelBefore(p uint64, n int, q uint64, m, b int) bool {
+	diff := (p ^ q) & (uint64(1)<<uint(min(n, m)*b) - 1)
+	if diff == 0 {
+		return n > m
+	}
+	sh := uint(bits.TrailingZeros64(diff) / b * b)
+	digMask := uint64(1)<<uint(b) - 1
+	return p>>sh&digMask < q>>sh&digMask
 }
 
 // packedOverlap1 is Property 1's suffix/prefix overlap on single-word

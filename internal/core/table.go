@@ -13,7 +13,7 @@ import (
 // query costs two Rank evaluations plus array reads. This generalizes
 // the per-site shape of internal/routetable into the full pair matrix
 // with both orientations, exact distances, and enough anchor state to
-// reconstruct the canonical Algorithm 2 path — so the tier is
+// reconstruct the canonical Algorithm 4 path — so the tier is
 // byte-identical to the kernels it caches, not an approximation.
 //
 // Tables are immutable once built and shared process-wide: the store
@@ -89,7 +89,7 @@ func (t *rankTable) nextHop(x, y word.Word) Hop {
 	return unpackHop(t.uhop[t.index(x, y)])
 }
 
-// appendRoute reconstructs the canonical Algorithm 2 path from the
+// appendRoute reconstructs the canonical Algorithm 4 path from the
 // stored side and anchor, allocating exactly once when p is nil.
 func (t *rankTable) appendRoute(p Path, x, y word.Word) Path {
 	i := t.index(x, y)

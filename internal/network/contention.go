@@ -100,6 +100,7 @@ type Contention struct {
 	cfg     ContentionConfig
 	n       int32 // d^k
 	rng     *rand.Rand
+	kn      *core.Kernels // Algorithm 4's paths at packed-kernel cost
 	planned map[[2]int]int
 	walks   [][]int32 // planned vertex-id walk of each message
 }
@@ -123,6 +124,7 @@ func NewContention(cfg ContentionConfig) (*Contention, error) {
 		cfg:     cfg,
 		n:       n,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		kn:      core.NewKernels(core.KernelConfig{TableBudget: -1}),
 		planned: make(map[[2]int]int),
 	}, nil
 }
@@ -138,7 +140,7 @@ func (c *Contention) Add(src, dst word.Word) error {
 	if c.cfg.Unidirectional {
 		route, err = core.RouteDirected(src, dst)
 	} else {
-		route, err = core.RouteUndirectedLinear(src, dst)
+		route, err = c.kn.RouteUndirected(src, dst)
 	}
 	if err != nil {
 		return err

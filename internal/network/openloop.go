@@ -86,6 +86,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		}
 		sites[i] = w
 	}
+	kn := core.NewKernels(core.KernelConfig{TableBudget: -1}) // no background table builds
 	var res OpenLoopResult
 	var latency, slowdown stats.Accumulator
 	var p95 stats.Histogram
@@ -108,7 +109,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 					continue
 				}
 				dst := word.Random(cfg.D, cfg.K, rng)
-				route, err := core.RouteUndirectedLinear(src, dst)
+				route, err := kn.RouteUndirected(src, dst)
 				if err != nil {
 					return OpenLoopResult{}, err
 				}

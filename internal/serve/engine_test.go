@@ -164,6 +164,21 @@ func TestEngineBadQuery(t *testing.T) {
 	}
 }
 
+// settleTableBuilds returns once no background table build is left
+// running for a table-eligible DG(d,k) with d ≤ 4, the graphs this
+// package's tests query. testing.AllocsPerRun counts mallocs across
+// the whole process and NewEngine(nil) builds tables asynchronously,
+// so a build still in flight from an earlier query would be charged
+// to the measured loop. A sync engine's TierFor waits for a pending
+// build, or runs a missing one, before it returns.
+func settleTableBuilds() {
+	kn := core.NewKernels(core.KernelConfig{SyncTableBuild: true})
+	for d := 2; d <= 4; d++ {
+		for k := 1; kn.TierFor(d, k) == core.TierTable; k++ {
+		}
+	}
+}
+
 // TestEngineAllocBudgets pins the serving hot path to the PR 4 kernel
 // budgets: 0 allocs/op for a cache hit (any kind) and for distance /
 // next-hop misses; 1 alloc/op — the returned path — for a route miss.
@@ -189,6 +204,7 @@ func TestEngineAllocBudgets(t *testing.T) {
 		}
 	}
 	uncached := NewEngine(nil)
+	settleTableBuilds()
 	// Warm the uncached engine's scratch buffers too.
 	for _, kind := range kinds {
 		if _, _, err := uncached.Answer(Query{Kind: kind, Src: pairs[0][0], Dst: pairs[0][1]}, LevelFull); err != nil {
@@ -283,6 +299,7 @@ func TestEngineBatchFrame(t *testing.T) {
 		}
 	}
 	run() // warm frame and kernel buffers
+	settleTableBuilds()
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Errorf("warm batch: %.1f allocs/run, want 0", allocs)
 	}
