@@ -244,28 +244,6 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkCluster pushes traffic through the concurrent engine (E7).
-func BenchmarkCluster(b *testing.B) {
-	c, err := network.NewCluster(network.ClusterConfig{D: 2, K: 8, Seed: 9, MaxInflight: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	rng := rand.New(rand.NewSource(10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, d := word.Random(2, 8, rng), word.Random(2, 8, rng)
-		if err := c.Send(s, d, "b"); err != nil {
-			b.Fatal(err)
-		}
-		if i%256 == 255 {
-			c.Drain()
-		}
-	}
-	c.Drain()
-}
-
 // BenchmarkFaultTolerance measures the E8 connectivity sweep.
 func BenchmarkFaultTolerance(b *testing.B) {
 	g, err := graph.DeBruijn(graph.Undirected, 3, 3)

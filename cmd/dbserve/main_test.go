@@ -72,6 +72,12 @@ func TestProbeAgainstServer(t *testing.T) {
 	if !strings.Contains(out.String(), "probe complete: 4/4 ok") {
 		t.Fatalf("probe output:\n%s", out.String())
 	}
+	// A connection writer publishes a sampled trace only after its
+	// frame is written, so the probe can read its last answer before
+	// the last trace lands. Close waits for every writer to finish.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := srv.Traces().Total(); got != 4 {
 		t.Fatalf("server sampled %d probe traces, want 4", got)
 	}

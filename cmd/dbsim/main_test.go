@@ -43,17 +43,6 @@ func TestFailAndAdaptive(t *testing.T) {
 	}
 }
 
-func TestClusterEngine(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-engine", "cluster", "-d", "2", "-k", "4", "-messages", "100"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "concurrent cluster, 16 goroutine sites") || !strings.Contains(out, "delivered: 100") {
-		t.Errorf("output:\n%s", out)
-	}
-}
-
 func TestDeflectEngine(t *testing.T) {
 	for _, policy := range []string{"random", "min-increase", "layer-aware"} {
 		var b strings.Builder
@@ -114,8 +103,11 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-workload", "nope"}, &b); err == nil {
 		t.Error("accepted unknown workload")
 	}
-	if err := run([]string{"-engine", "nope"}, &b); err == nil {
-		t.Error("accepted unknown engine")
+	for _, engine := range []string{"nope", "cluster"} {
+		err := run([]string{"-engine", engine}, &b)
+		if err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("-engine %s: got %v, want an unknown-engine error", engine, err)
+		}
 	}
 	if err := run([]string{"-fail", "xyz"}, &b); err == nil {
 		t.Error("accepted unparsable failure address")
@@ -156,20 +148,6 @@ func TestMetricsFlag(t *testing.T) {
 	}
 	if byReason != dropped {
 		t.Errorf("drops by reason sum to %d, dropped counter says %d", byReason, dropped)
-	}
-}
-
-func TestClusterMetricsFlag(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-engine", "cluster", "-d", "2", "-k", "4", "-messages", "100", "-metrics"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	sent := promValue(t, out, "dn_cluster_messages_sent_total")
-	delivered := promValue(t, out, "dn_cluster_messages_delivered_total")
-	dropped := promValue(t, out, "dn_cluster_messages_dropped_total")
-	if sent != 100 || sent != delivered+dropped {
-		t.Errorf("sent %d, delivered %d, dropped %d:\n%s", sent, delivered, dropped, out)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // SendDestinationRouted forwards a message with destination-based
 // self-routing: the header carries no path field; every site derives
 // its next hop locally from (current site, destination) with the
-// distance functions (core.NextHopDirected / NextHopUndirected),
+// distance functions (core.Kernels.NextHopDirected / NextHopUndirected),
 // resolving wildcard decisions with the configured policy. Hop counts
 // match source-routed delivery exactly — per-hop recomputation
 // contracts the distance by one regardless of wildcard resolution.
@@ -49,9 +49,9 @@ func (n *Network) SendDestinationRouted(src, dst word.Word, payload string) (Del
 		var hop core.Hop
 		var more bool
 		if n.cfg.Unidirectional {
-			hop, more, err = core.NextHopDirected(cur, dst)
+			hop, more, err = n.kn.NextHopDirected(cur, dst)
 		} else {
-			hop, more, err = core.NextHopUndirected(cur, dst)
+			hop, more, err = n.kn.NextHopUndirected(cur, dst)
 		}
 		if err != nil {
 			return Delivery{}, err

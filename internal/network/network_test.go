@@ -20,12 +20,17 @@ func mustNet(t *testing.T, cfg Config) *Network {
 
 func TestSendDeliversWithOptimalHops(t *testing.T) {
 	// E7: delivered hop counts equal the distance function, for both
-	// directionalities, over all pairs of DN(2,4) and DN(3,2).
+	// directionalities, over all pairs of DN(2,4) and DN(3,2). DN(5,2)
+	// and DN(6,2) put the bi-directional routes on the kernels' scratch
+	// tier (d > 4), the others on the packed tier; on either, Route
+	// must be Algorithm 4's path hop for hop.
 	for _, cfg := range []Config{
 		{D: 2, K: 4, Unidirectional: true},
 		{D: 2, K: 4},
 		{D: 3, K: 2, Unidirectional: true},
 		{D: 3, K: 2},
+		{D: 5, K: 2},
+		{D: 6, K: 2},
 	} {
 		n := mustNet(t, cfg)
 		var words []word.Word
@@ -56,6 +61,20 @@ func TestSendDeliversWithOptimalHops(t *testing.T) {
 				}
 				if del.Hops != want {
 					t.Fatalf("cfg %+v: %v→%v took %d hops, want %d", cfg, src, dst, del.Hops, want)
+				}
+				if cfg.Unidirectional {
+					continue
+				}
+				got, err := n.Route(src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := core.RouteUndirectedLinear(src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != ref.String() {
+					t.Fatalf("cfg %+v: %v→%v Route = %v, Algorithm 4 = %v", cfg, src, dst, got, ref)
 				}
 			}
 		}

@@ -62,54 +62,6 @@ func TestRegistrySentEqualsDeliveredPlusDropped(t *testing.T) {
 	}
 }
 
-// TestClusterRegistryInvariant checks the same invariant on the
-// concurrent engine.
-func TestClusterRegistryInvariant(t *testing.T) {
-	reg := obs.NewRegistry()
-	c, err := NewCluster(ClusterConfig{D: 2, K: 4, Seed: 3, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := word.MustParse(2, "0110")
-	if err := c.FailSite(failed); err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	rng := rand.New(rand.NewSource(5))
-	sent := 0
-	for sent < 200 {
-		src, dst := word.Random(2, 4, rng), word.Random(2, 4, rng)
-		if src.Equal(failed) {
-			continue
-		}
-		if err := c.Send(src, dst, ""); err != nil {
-			t.Fatal(err)
-		}
-		sent++
-	}
-	c.Drain()
-	c.Stop()
-
-	snap := reg.Snapshot()
-	if got := snap.Counter("dn_cluster_messages_sent_total"); got != int64(sent) {
-		t.Errorf("sent = %d, want %d", got, sent)
-	}
-	delivered := snap.Counter("dn_cluster_messages_delivered_total")
-	dropped := snap.Counter("dn_cluster_messages_dropped_total")
-	if delivered+dropped != int64(sent) {
-		t.Errorf("delivered %d + dropped %d != sent %d", delivered, dropped, sent)
-	}
-	if byReason := snap.CounterSum("dn_cluster_drops_total"); byReason != dropped {
-		t.Errorf("drops by reason sum to %d, dropped counter says %d", byReason, dropped)
-	}
-	if got := snap.Gauge("dn_cluster_inflight"); got != 0 {
-		t.Errorf("inflight gauge = %v after drain, want 0", got)
-	}
-	if snap.Histograms["dn_cluster_queue_wait_ns"].Count == 0 {
-		t.Error("queue wait histogram empty with registry attached")
-	}
-}
-
 // TestTTLZeroMeansFourK covers the documented default: TTL 0 resolves
 // to 4k, generous enough that a bi-directional message at d=2, k=6
 // survives worst-case adaptive rerouting around a failed site.
@@ -235,7 +187,7 @@ func traceWalk(t *testing.T, del Delivery, want []word.Word) {
 
 // expectedWalk recomputes the optimal route for a delivered message
 // and expands it to vertices, resolving wildcards with digit 0 (the
-// PolicyFirst / non-RandomWildcard default both engines use here).
+// PolicyFirst default the engine uses here).
 func expectedWalk(t *testing.T, unidirectional bool, src, dst word.Word) []word.Word {
 	t.Helper()
 	var route core.Path
@@ -283,34 +235,6 @@ func TestTraceFidelityNetwork(t *testing.T) {
 				t.Fatalf("trace counts %d hops, delivery says %d", got, del.Hops)
 			}
 		}
-	}
-}
-
-// TestTraceFidelityCluster runs the same fidelity check through the
-// concurrent engine.
-func TestTraceFidelityCluster(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{D: 2, K: 6, Seed: 7, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 100; i++ {
-		if err := c.Send(word.Random(2, 6, rng), word.Random(2, 6, rng), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Drain()
-	c.Stop()
-	deliveries := c.Deliveries()
-	if len(deliveries) != 100 {
-		t.Fatalf("recorded %d deliveries, want 100", len(deliveries))
-	}
-	for _, del := range deliveries {
-		if !del.Delivered {
-			t.Fatalf("%v -> %v dropped: %s", del.Msg.Source, del.Msg.Dest, del.DropReason)
-		}
-		traceWalk(t, del, expectedWalk(t, false, del.Msg.Source, del.Msg.Dest))
 	}
 }
 
